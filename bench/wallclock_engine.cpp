@@ -2,9 +2,7 @@
 // measures the simulator itself). Three probes:
 //
 //   * process-switch throughput — a process yielding in a tight loop; every
-//     yield is one block + one resume event + one slice. Run under both
-//     execution backends, so the printed ratio is the coroutine speedup
-//     over the one-OS-thread-per-process baton baseline.
+//     yield is one block + one resume event + one coroutine slice.
 //   * event throughput — a self-rescheduling callback chain, no processes:
 //     the pooled event queue in isolation.
 //   * figure-9 wall time — one QR factorization point (N x N phantom, 3
@@ -53,8 +51,8 @@ struct SwitchProbe {
   double per_sec = 0.0;
 };
 
-SwitchProbe switch_throughput(sim::ExecBackend backend, std::uint64_t iters) {
-  sim::Engine engine(backend);
+SwitchProbe switch_throughput(std::uint64_t iters) {
+  sim::Engine engine(sim::ExecBackend::kCoroutine);
   engine.spawn("pinger", [iters](sim::Context& ctx) {
     for (std::uint64_t i = 0; i < iters; ++i) ctx.yield();
   });
@@ -322,31 +320,14 @@ int run(int argc, char** argv) {
   }
 
   const std::uint64_t coro_iters = quick ? 50'000 : 500'000;
-  const std::uint64_t thread_iters = quick ? 5'000 : 50'000;
   const std::uint64_t event_count = quick ? 200'000 : 2'000'000;
   const int qr_n = quick ? 2048 : 8064;
-
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-  const bool have_coro = false;
-#else
-  const bool have_coro = true;
-#endif
 
   std::printf("engine wall-clock benchmark%s\n", quick ? " (quick)" : "");
 
   std::printf("process-switch throughput:\n");
-  SwitchProbe coro;
-  if (have_coro) {
-    coro = switch_throughput(sim::ExecBackend::kCoroutine, coro_iters);
-    print_switch("coroutine", coro);
-  } else {
-    std::printf("  coroutine  disabled (sanitizer build)\n");
-  }
-  const SwitchProbe thread =
-      switch_throughput(sim::ExecBackend::kThread, thread_iters);
-  print_switch("thread", thread);
-  const double speedup = have_coro ? coro.per_sec / thread.per_sec : 0.0;
-  if (have_coro) std::printf("  speedup    %.1fx\n", speedup);
+  const SwitchProbe coro = switch_throughput(coro_iters);
+  print_switch("coroutine", coro);
 
   const EventProbe ev = event_throughput(event_count);
   std::printf("event throughput: %llu events in %.3f s  ->  %.2fM events/s "
@@ -362,16 +343,14 @@ int run(int argc, char** argv) {
               qr.n, qr.sim_ms, qr.wall_s);
 
   // Parallel cluster scenario. 64 CNs + 64 ACs + the ARM = 129 fabric
-  // nodes in the full run; the serial baseline is the coroutine backend
-  // (thread under sanitizer builds).
+  // nodes in the full run; the serial baseline is the coroutine backend.
   const int churn_nodes = quick ? 16 : 64;
   const int churn_waves = quick ? 1 : 3;
   const int churn_steps = quick ? 10 : 30;
   const int churn_shards = 16;
   const int host_cores = static_cast<int>(std::thread::hardware_concurrency());
-  const sim::ExecBackend base_backend =
-      have_coro ? sim::ExecBackend::kCoroutine : sim::ExecBackend::kThread;
-  const char* base_label = have_coro ? "coroutine" : "thread";
+  const sim::ExecBackend base_backend = sim::ExecBackend::kCoroutine;
+  const char* base_label = "coroutine";
   std::printf(
       "parallel cluster scenario: %d fabric nodes (%d CN + %d AC + ARM), "
       "%d wave(s) x %d MP2C steps, lease churn per wave\n",
@@ -629,16 +608,10 @@ int run(int argc, char** argv) {
        << "  \"bench\": \"wallclock_engine\",\n"
        << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
        << "  \"switch_throughput\": {\n";
-  if (have_coro) {
-    json << "    \"coroutine\": {\"switches\": " << coro.switches
-         << ", \"wall_s\": " << coro.wall_s
-         << ", \"per_sec\": " << coro.per_sec << "},\n";
-  }
-  json << "    \"thread\": {\"switches\": " << thread.switches
-       << ", \"wall_s\": " << thread.wall_s
-       << ", \"per_sec\": " << thread.per_sec << "}";
-  if (have_coro) json << ",\n    \"coroutine_speedup\": " << speedup;
-  json << "\n  },\n"
+  json << "    \"coroutine\": {\"switches\": " << coro.switches
+       << ", \"wall_s\": " << coro.wall_s
+       << ", \"per_sec\": " << coro.per_sec << "}\n"
+       << "  },\n"
        << "  \"event_throughput\": {\"events\": " << ev.events
        << ", \"wall_s\": " << ev.wall_s << ", \"per_sec\": " << ev.per_sec
        << ", \"pool_nodes\": " << ev.pool_nodes

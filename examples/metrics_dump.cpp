@@ -3,7 +3,8 @@
 // The snapshot is deterministic — byte-identical under every execution
 // backend — so the files double as a cross-backend equality probe
 // (scripts/check_determinism.sh runs this binary under
-// DACC_SIM_BACKEND=coroutine|thread|parallel:4 and compares the outputs).
+// DACC_SIM_BACKEND=coroutine|parallel:1|parallel:4|parallel:8 and compares
+// the outputs).
 //
 //   $ ./examples/metrics_dump [out_prefix]
 //   wrote dacc_metrics.json and dacc_metrics.prom

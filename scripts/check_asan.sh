@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 test suite under AddressSanitizer.
 #
-# The simulator's coroutine backend hand-switches stacks, which ASan cannot
-# track, so the build pins the thread execution backend
-# (DACC_SIM_FORCE_THREAD_BACKEND is set automatically by CMake when
-# DACC_SANITIZE is active). Benchmarks and examples are skipped: they add
-# nothing to the memory-safety surface and triple the build time.
+# The simulator runs the same coroutine strands release builds ship: every
+# stack switch is annotated for ASan (sim/engine.cpp), so exceptions thrown
+# on coroutine stacks, pooled-stack reuse and fake stacks are all tracked.
+# The per-backend suites (ctest -L backend:parallel) also run those
+# coroutines on parallel workers. Benchmarks and examples are skipped: they
+# add nothing to the memory-safety surface and triple the build time.
 #
 #   $ scripts/check_asan.sh [build-dir]
 set -euo pipefail

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 test suite under ThreadSanitizer.
 #
-# TSan is the proof vehicle for the parallel execution backend: the build
-# pins thread strands (DACC_SIM_FORCE_THREAD_BACKEND, set automatically by
-# CMake when DACC_SANITIZE is active) so every context switch is a real OS
-# hand-off TSan can follow, and the run exports DACC_SIM_BACKEND=parallel
-# with a multi-thread worker pool so the window barriers, staged inboxes
-# and cross-shard wakes all execute on genuinely concurrent threads.
-# Benchmarks and examples are skipped: they add nothing to the
+# TSan is the proof vehicle for the parallel execution backend. The build
+# runs the same coroutine strands release builds ship: each strand is a
+# TSan fiber (sim/engine.cpp), so TSan follows every stack switch — also
+# when a coroutine suspends on one parallel worker and resumes on another.
+# Pass 1 runs the suite on coroutine strands with the default backend;
+# passes 2 and 3 export DACC_SIM_BACKEND=parallel with a multi-thread worker
+# pool, so the window barriers, staged inboxes, cross-shard wakes and
+# coroutines hopping between workers all execute on genuinely concurrent
+# threads. Benchmarks and examples are skipped: they add nothing to the
 # thread-safety surface and triple the build time.
 #
 #   $ scripts/check_tsan.sh [build-dir]
@@ -23,11 +25,12 @@ cmake -B "$build" -S "$repo" \
   -DDACC_BUILD_EXAMPLES=OFF
 cmake --build "$build" -j "$(nproc)"
 
-# Pass 1: default backend selection (thread strands, serial scheduler).
+# Pass 1: default backend selection (coroutine strands, serial scheduler).
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # Pass 2: the parallel scheduler with real worker threads — four shards,
-# two workers, so shard execution crosses OS threads even on small hosts.
+# two workers, so shard execution and coroutine resumption cross OS threads
+# even on small hosts.
 DACC_SIM_BACKEND=parallel:4 DACC_SIM_PARALLEL_WORKERS=2 \
   ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 

@@ -5,12 +5,33 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <mutex>
 #include <numeric>
 #include <sstream>
 #include <thread>
 
 #include "sim/trace.hpp"
+
+// Sanitizer builds (detected from the compilers' feature macros) annotate the
+// coroutine switches; see Process::Strand below.
+#if defined(__SANITIZE_ADDRESS__)
+#define DACC_ASAN_FIBERS 1
+#elif defined(__SANITIZE_THREAD__)
+#define DACC_TSAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DACC_ASAN_FIBERS 1
+#elif __has_feature(thread_sanitizer)
+#define DACC_TSAN_FIBERS 1
+#endif
+#endif
+#if defined(DACC_ASAN_FIBERS)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(DACC_TSAN_FIBERS)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace dacc::sim {
 
@@ -58,79 +79,121 @@ __attribute__((noinline)) void set_exec_cursor(ExecCursor* c) noexcept {
 }  // namespace detail
 
 // ---------------------------------------------------------------------------
-// Strands: hand execution back and forth between the engine and one process.
-// Exactly one side runs at a time; the two implementations differ only in
-// the mechanics of the hand-off. Under the parallel backend consecutive
-// slices of one process may be driven by different worker threads; the
-// shard's horizon publishes (release) and reads (acquire) order those
-// drives, so each strand still sees a strictly alternating engine/process
-// hand-off.
+// Strand: hands execution back and forth between the engine and one process.
+// The process body runs as a stackful coroutine on a pooled stack; a switch
+// is swapcontext() in user space, no OS scheduler involvement. Exactly one
+// side runs at a time. Under the parallel backend consecutive slices of one
+// process may be driven by different worker threads; the shard's horizon
+// publishes (release) and reads (acquire) order those drives, so the strand
+// still sees a strictly alternating engine/process hand-off. The stack
+// returns to the pool the moment the body finishes, so long-running engines
+// reuse a small working set of stacks.
+//
+// Sanitizer builds annotate every swap so ASan and TSan follow the stack
+// switches (the annotations compile away otherwise):
+//  * ASan: __sanitizer_{start,finish}_switch_fiber bracket each swap. The
+//    engine side's stack bounds are re-learned on every resume, because the
+//    worker that drives the next slice may differ; the final exit passes a
+//    null fake-stack slot so ASan frees the coroutine's fake stack.
+//  * TSan: the coroutine is a TSan fiber created at its first slice and
+//    destroyed once the body finished; the engine side's fiber is re-read
+//    on every slice for the same reason.
+// The body never returns through uc_link: an instrumented epilogue running
+// after the sanitizer switch would corrupt the engine side's shadow state,
+// so entry() ends with an explicit switch that never returns.
 // ---------------------------------------------------------------------------
 
 class Process::Strand {
  public:
-  virtual ~Strand() = default;
-  virtual void run_slice(Process& p) = 0;        // engine side
-  virtual void yield_to_engine(Process& p) = 0;  // process side
+  Strand(StackPool& pool, Process& p) : pool_(pool), process_(&p) {}
 
- protected:
-  // Nested-class access to Process internals, forwarded for the concrete
-  // strands in the anonymous namespace below.
-  static void run_body(Process& p) { p.body_main(); }
-  static bool is_shutdown_requested(const Process& p) {
-    return p.shutdown_requested_;
-  }
-};
-
-namespace {
-
-// Stackful coroutine strand: the process body runs on a pooled stack; a
-// switch is swapcontext() in user space, no OS scheduler involvement. The
-// stack returns to the pool the moment the body finishes, so long-running
-// engines reuse a small working set of stacks.
-class CoroStrand final : public Process::Strand {
- public:
-  CoroStrand(StackPool& pool, Process& p) : pool_(pool), process_(&p) {}
-
-  ~CoroStrand() override {
+  ~Strand() {
     if (stack_.map_base != nullptr) pool_.release(stack_);
+#if defined(DACC_TSAN_FIBERS)
+    if (fiber_ != nullptr) __tsan_destroy_fiber(fiber_);
+#endif
   }
 
-  void run_slice(Process& p) override {
+  Strand(const Strand&) = delete;
+  Strand& operator=(const Strand&) = delete;
+
+  // Engine side: runs the process until it yields or finishes.
+  void run_slice() {
     if (!entered_) {
       entered_ = true;
       stack_ = pool_.acquire();
       ::getcontext(&coro_);
       coro_.uc_stack.ss_sp = stack_.base;
       coro_.uc_stack.ss_size = stack_.size;
-      coro_.uc_link = &engine_;  // body return resumes the engine side
+      coro_.uc_link = nullptr;  // entry() never returns
       const auto self = reinterpret_cast<std::uintptr_t>(this);
-      ::makecontext(&coro_, reinterpret_cast<void (*)()>(&CoroStrand::entry),
-                    2, static_cast<unsigned>(self >> 32),
+      ::makecontext(&coro_, reinterpret_cast<void (*)()>(&Strand::entry), 2,
+                    static_cast<unsigned>(self >> 32),
                     static_cast<unsigned>(self & 0xffffffffu));
+#if defined(DACC_TSAN_FIBERS)
+      fiber_ = __tsan_create_fiber(0);
+#endif
     }
+#if defined(DACC_TSAN_FIBERS)
+    engine_fiber_ = __tsan_get_current_fiber();
+    __tsan_switch_to_fiber(fiber_, 0);
+#endif
+#if defined(DACC_ASAN_FIBERS)
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, stack_.base, stack_.size);
+#endif
     // engine_ is overwritten on every slice, so it always names the worker
     // that drove this slice — the coroutine returns to whoever resumed it.
     ::swapcontext(&engine_, &coro_);
-    if (p.finished() && stack_.map_base != nullptr) {
+#if defined(DACC_ASAN_FIBERS)
+    __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
+#endif
+    if (process_->finished_ && stack_.map_base != nullptr) {
       pool_.release(stack_);
       stack_ = StackPool::Stack{};
+#if defined(DACC_TSAN_FIBERS)
+      __tsan_destroy_fiber(fiber_);
+      fiber_ = nullptr;
+#endif
     }
   }
 
-  void yield_to_engine(Process& p) override {
+  // Process side: gives the baton back; returns when the engine resumes it.
+  void yield_to_engine() {
+#if defined(DACC_TSAN_FIBERS)
+    __tsan_switch_to_fiber(engine_fiber_, 0);
+#endif
+#if defined(DACC_ASAN_FIBERS)
+    void* fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(&fake_stack, engine_bottom_, engine_size_);
+#endif
     ::swapcontext(&coro_, &engine_);
-    if (is_shutdown_requested(p)) throw Shutdown{};
+#if defined(DACC_ASAN_FIBERS)
+    __sanitizer_finish_switch_fiber(fake_stack, &engine_bottom_, &engine_size_);
+#endif
+    if (process_->shutdown_requested_) throw Shutdown{};
   }
 
  private:
   // makecontext passes int arguments only; the strand pointer travels as two
   // 32-bit halves (the standard 64-bit ucontext idiom).
   static void entry(unsigned hi, unsigned lo) {
-    auto* self = reinterpret_cast<CoroStrand*>(
+    auto* self = reinterpret_cast<Strand*>(
         (static_cast<std::uintptr_t>(hi) << 32) | lo);
-    run_body(*self->process_);
-    // Falling off the end switches to uc_link == the engine context.
+#if defined(DACC_ASAN_FIBERS)
+    __sanitizer_finish_switch_fiber(nullptr, &self->engine_bottom_,
+                                    &self->engine_size_);
+#endif
+    self->process_->body_main();
+#if defined(DACC_TSAN_FIBERS)
+    __tsan_switch_to_fiber(self->engine_fiber_, 0);
+#endif
+#if defined(DACC_ASAN_FIBERS)
+    __sanitizer_start_switch_fiber(nullptr, self->engine_bottom_,
+                                   self->engine_size_);
+#endif
+    ::setcontext(&self->engine_);
+    std::abort();  // setcontext returns only on failure
   }
 
   StackPool& pool_;
@@ -139,66 +202,15 @@ class CoroStrand final : public Process::Strand {
   ucontext_t engine_{};
   ucontext_t coro_{};
   bool entered_ = false;
+#if defined(DACC_ASAN_FIBERS)
+  const void* engine_bottom_ = nullptr;  // stack of the driving worker
+  std::size_t engine_size_ = 0;
+#endif
+#if defined(DACC_TSAN_FIBERS)
+  void* fiber_ = nullptr;
+  void* engine_fiber_ = nullptr;  // fiber of the driving worker
+#endif
 };
-
-// OS-thread strand: the original SystemC-style baton (mutex/condvar). Kept
-// as the sanitizer- and debugger-friendly fallback; selected per engine or
-// globally via -DDACC_SANITIZE / DACC_SIM_BACKEND=thread.
-//
-// Because the process body runs on its own OS thread, the worker's
-// execution cursor must follow the baton: run_slice() publishes the
-// driving thread's cursor and the process side installs it after every
-// baton receipt, so Engine::now() etc. resolve against the running drain.
-class ThreadStrand final : public Process::Strand {
- public:
-  explicit ThreadStrand(Process& p) {
-    thread_ = std::thread([this, &p] { main(p); });
-  }
-
-  ~ThreadStrand() override {
-    if (thread_.joinable()) thread_.join();
-  }
-
-  void run_slice(Process&) override {
-    cursor_ = detail::exec_cursor();
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::kProcess;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return turn_ == Turn::kEngine; });
-  }
-
-  void yield_to_engine(Process& p) override {
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::kEngine;
-    cv_.notify_all();
-    cv_.wait(lock, [&] { return turn_ == Turn::kProcess; });
-    lock.unlock();
-    detail::set_exec_cursor(cursor_);
-    if (is_shutdown_requested(p)) throw Shutdown{};
-  }
-
- private:
-  void main(Process& p) {
-    // Wait for the engine to hand us the baton for the first time.
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [&] { return turn_ == Turn::kProcess; });
-    }
-    detail::set_exec_cursor(cursor_);
-    run_body(p);
-    std::unique_lock lock(mutex_);
-    turn_ = Turn::kEngine;
-    cv_.notify_all();
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  enum class Turn { kEngine, kProcess } turn_ = Turn::kEngine;
-  std::thread thread_;
-  detail::ExecCursor* cursor_ = nullptr;  // driving worker's cursor
-};
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Process
@@ -206,19 +218,11 @@ class ThreadStrand final : public Process::Strand {
 
 Process::Process(Engine& engine, std::uint64_t id, std::string name,
                  ProcessFn fn)
-    : engine_(engine), id_(id), name_(std::move(name)), fn_(std::move(fn)) {
-#if defined(DACC_SIM_FORCE_THREAD_BACKEND)
-  // Sanitizer builds cannot track hand-switched stacks regardless of the
-  // engine's nominal backend.
-  strand_ = std::make_unique<ThreadStrand>(*this);
-#else
-  if (engine.backend() == ExecBackend::kThread) {
-    strand_ = std::make_unique<ThreadStrand>(*this);
-  } else {
-    strand_ = std::make_unique<CoroStrand>(engine.stack_pool_, *this);
-  }
-#endif
-}
+    : engine_(engine),
+      id_(id),
+      name_(std::move(name)),
+      fn_(std::move(fn)),
+      strand_(std::make_unique<Strand>(engine.stack_pool_, *this)) {}
 
 Process::~Process() = default;
 
@@ -241,9 +245,9 @@ void Process::body_main() {
   finished_ = true;
 }
 
-void Process::yield_to_engine() { strand_->yield_to_engine(*this); }
+void Process::yield_to_engine() { strand_->yield_to_engine(); }
 
-void Process::run_slice() { strand_->run_slice(*this); }
+void Process::run_slice() { strand_->run_slice(); }
 
 // ---------------------------------------------------------------------------
 // Context
@@ -640,8 +644,8 @@ void Engine::wake(Process& p) {
     return;
   }
   if (p.home_node_ == kGlobalNode) {
-    // A node context waking a node-less process. The sequential backends
-    // (including the merged no-lookahead drain) share one baton so
+    // A node context waking a node-less process. The sequential backend
+    // and the merged no-lookahead drain hold one global baton, so
     // immediate delivery is safe and keeps historical timings; the era
     // driver cannot reach the global band from inside an era without
     // breaking the canonical order.
@@ -751,7 +755,7 @@ bool Engine::run_merged(SimTime limit) {
   // The canonical (time, ord) key totally orders events regardless of which
   // queue holds them, so a least-key scan over the band queue plus every
   // shard replays exactly the sequence the era driver executes — and the
-  // one the sequential backends produce.
+  // one the sequential backend produces.
   WallSink* const w = wall_;
   const std::uint64_t wt0 = w != nullptr ? wall_now_ns() : 0;
   const std::uint64_t we0 = events_executed_;

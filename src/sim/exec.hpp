@@ -1,26 +1,24 @@
 // Execution backend selection for the simulation engine.
 //
 // Simulated processes are synchronous C++ functions that must be suspended
-// and resumed at blocking points. Three interchangeable backends implement
-// that suspension; all execute the exact same canonical event order, so
+// and resumed at blocking points. Every process runs as a stackful coroutine
+// (ucontext swapcontext on a pooled, guard-paged stack): a process switch is
+// two user-space context swaps, no OS scheduler involvement, which is what
+// makes paper-scale sweeps wall-clock fast. Sanitizer builds annotate those
+// switches for ASan and TSan (sim/engine.cpp). Two interchangeable backends
+// dispatch events; both execute the exact same canonical event order, so
 // simulated results are bit-for-bit identical either way:
 //
-//  * kCoroutine — stackful coroutines (ucontext swapcontext on a pooled,
-//                 guard-paged stack). No OS scheduler involvement: a process
-//                 switch is two user-space context swaps, which is what makes
-//                 paper-scale sweeps wall-clock fast. The default.
-//  * kThread    — one OS thread per process with mutex/condvar baton passing
-//                 (the original engine). ~an order of magnitude slower per
-//                 switch, but friendly to sanitizers and debuggers that do
-//                 not understand stack switching. Forced as the default by
-//                 building with -DDACC_SANITIZE=....
+//  * kCoroutine — one event queue drained on the calling thread. The
+//                 default.
 //  * kParallel  — conservative parallel discrete-event execution: simulated
 //                 processes and resources are partitioned by cluster node
 //                 into per-shard event queues, shards run on a worker pool
 //                 in barrier-synchronized windows whose width is the minimum
 //                 cross-node link latency (the lookahead), and cross-shard
 //                 effects travel through staged inboxes merged in canonical
-//                 (time, src-node, seq) order. Requires node-homed processes
+//                 (time, src-node, seq) order. Coroutines resume on whichever
+//                 worker drives their shard. Requires node-homed processes
 //                 (rt::Cluster homes everything); see DESIGN.md §5.2.
 #pragma once
 
@@ -30,17 +28,16 @@ namespace dacc::sim {
 
 enum class ExecBackend {
   kCoroutine,
-  kThread,
   kParallel,
 };
 
 const char* to_string(ExecBackend backend);
 
 /// The backend new Engines use unless one is passed explicitly: kCoroutine,
-/// unless the build forces the thread backend (sanitizer builds define
-/// DACC_SIM_FORCE_THREAD_BACKEND) or the environment variable
-/// DACC_SIM_BACKEND is set to "thread", "coroutine", or "parallel[:N]"
-/// (N = shard count, defaulting to the host's hardware concurrency).
+/// unless the environment variable DACC_SIM_BACKEND is set to "coroutine" or
+/// "parallel[:N]" (N = shard count, defaulting to the host's hardware
+/// concurrency). Any other value warns on stderr and falls back to
+/// kCoroutine.
 ExecBackend default_exec_backend();
 
 /// Shard count requested via DACC_SIM_BACKEND: N for "parallel:N", the

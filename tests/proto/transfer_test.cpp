@@ -3,10 +3,28 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "util/units.hpp"
 
 namespace dacc::proto {
+
+// Names each TransferTest case after its config (ctest puts the printed
+// parameter in the test name); gtest's default byte dump of the struct
+// includes padding, which differs from build to build.
+void PrintTo(const TransferConfig& config, std::ostream* os) {
+  if (config.mode == TransferConfig::Mode::kNaive) {
+    *os << "naive";
+  } else if (config.adaptive) {
+    *os << "pipeline_adaptive";
+  } else if (config.block_bytes % 1024 == 0) {
+    *os << "pipeline_" << config.block_bytes / 1024 << "KiB";
+  } else {
+    *os << "pipeline_" << config.block_bytes << "B";
+  }
+  if (!config.gpudirect) *os << "_nogd";
+}
+
 namespace {
 
 TEST(BlockPlan, ExactMultiple) {
