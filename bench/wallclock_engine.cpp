@@ -534,19 +534,22 @@ int run(int argc, char** argv) {
   // profiler detached vs. attached, best-of-N wall time each way. Detached
   // is the baseline by construction (one null-pointer check per hook site);
   // attached must cost < 2% on the serial hot loop, whose instrumentation
-  // is two clock reads per run() call.
-  const int prof_reps = quick ? 3 : 5;
+  // is two clock reads per run() call. The side that runs first alternates
+  // every rep, so neither side always pays the warm-up or sits next to the
+  // same burst of host load; quick runs take 5-11 ms each, so they get
+  // enough reps that a few preempted runs cannot decide either minimum.
+  const int prof_reps = quick ? 9 : 5;
   double prof_off_s = 0.0;
   double prof_on_s = 0.0;
   obs::Profiler serial_prof;
   for (int r = 0; r < prof_reps; ++r) {
-    const ChurnProbe off = cluster_churn(base_backend, 0, churn_nodes,
-                                         churn_waves, churn_steps);
-    if (r == 0 || off.wall_s < prof_off_s) prof_off_s = off.wall_s;
-    const ChurnProbe on =
-        cluster_churn(base_backend, 0, churn_nodes, churn_waves, churn_steps,
-                      /*band_gap=*/0, &serial_prof);
-    if (r == 0 || on.wall_s < prof_on_s) prof_on_s = on.wall_s;
+    for (const bool attached : {r % 2 == 1, r % 2 == 0}) {
+      const ChurnProbe probe = cluster_churn(
+          base_backend, 0, churn_nodes, churn_waves, churn_steps,
+          /*band_gap=*/0, attached ? &serial_prof : nullptr);
+      double& best = attached ? prof_on_s : prof_off_s;
+      if (r == 0 || probe.wall_s < best) best = probe.wall_s;
+    }
   }
   const double prof_overhead_pct =
       prof_off_s > 0.0

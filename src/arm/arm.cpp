@@ -10,6 +10,32 @@ namespace dacc::arm {
 using proto::WireReader;
 using proto::WireWriter;
 
+void execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
+                     std::vector<Effect>& effects) {
+  sim::Engine& engine = ctx.engine();
+  for (Effect& e : effects) {
+    switch (e.kind) {
+      case Effect::Kind::kReply:
+        channel.reply(e.to, e.tag, std::move(e.frame));
+        break;
+      case Effect::Kind::kNotice:
+        channel.mpi().send(channel.comm(), e.to, e.tag, std::move(e.frame));
+        break;
+      case Effect::Kind::kTrace:
+        // Revocations and replacements surface as trace effects; mirror
+        // them into the flight recorder for post-mortems.
+        if (obs::FlightRecorder* fr = engine.flight()) {
+          fr->note(ctx.now(), "arm", e.label,
+                   engine.current_trace().trace_id);
+        }
+        if (sim::Tracer* tracer = engine.tracer()) {
+          tracer->record("arm", e.label, ctx.now(), ctx.now());
+        }
+        break;
+    }
+  }
+}
+
 Arm::Arm(dmpi::World& world, dmpi::Rank self_world_rank,
          std::vector<AcceleratorInfo> pool, QueuePolicy policy,
          PlacementMap placement)
@@ -37,28 +63,7 @@ void Arm::run(sim::Context& ctx) {
       cmd.body = in.body.rest();
       ApplyResult result = machine_.apply(cmd, ctx.now());
       shutdown = result.shutdown;
-      for (Effect& e : result.effects) {
-        switch (e.kind) {
-          case Effect::Kind::kReply:
-            channel.reply(e.to, e.tag, std::move(e.frame));
-            break;
-          case Effect::Kind::kNotice:
-            channel.mpi().send(channel.comm(), e.to, e.tag,
-                               std::move(e.frame));
-            break;
-          case Effect::Kind::kTrace:
-            // Revocations and replacements surface as trace effects; mirror
-            // them into the flight recorder for post-mortems.
-            if (obs::FlightRecorder* fr = world_.engine().flight()) {
-              fr->note(ctx.now(), "arm", e.label,
-                       world_.engine().current_trace().trace_id);
-            }
-            if (sim::Tracer* tracer = world_.engine().tracer()) {
-              tracer->record("arm", e.label, ctx.now(), ctx.now());
-            }
-            break;
-        }
-      }
+      execute_effects(ctx, channel, result.effects);
     } catch (const proto::WireError&) {
       // Malformed management frame (fuzzed or corrupted): drop it and keep
       // serving — the pool must outlive bad clients.
@@ -98,11 +103,6 @@ rpc::Channel::Options arm_client_options(bool replicated) {
   return o;
 }
 }  // namespace
-
-ArmClient::ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
-                     dmpi::Rank arm_rank)
-    : channel_(mpi, comm, arm_rank, arm_client_options(false)),
-      endpoints_{arm_rank} {}
 
 ArmClient::ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
                      std::vector<dmpi::Rank> arm_ranks)
@@ -189,16 +189,6 @@ std::vector<Lease> ArmClient::acquire(const ResourceRequest& req) {
     leases.push_back(l);
   }
   return leases;
-}
-
-std::vector<Lease> ArmClient::acquire(std::uint64_t job, std::uint32_t count,
-                                      bool wait, const std::string& kind) {
-  ResourceRequest rq;
-  rq.job = job;
-  rq.count = count;
-  rq.wait = wait;
-  rq.kind = kind;
-  return acquire(rq);
 }
 
 ArmResult ArmClient::release(std::uint64_t job, const Lease& lease) {

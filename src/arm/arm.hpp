@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "arm/lease_machine.hpp"
@@ -32,6 +31,12 @@
 #include "util/units.hpp"
 
 namespace dacc::arm {
+
+/// Executes the effects of one applied command in order: replies and
+/// notices go out on `channel`, trace effects land in the engine's flight
+/// recorder and tracer. Shared by the single ARM and the Raft leader.
+void execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
+                     std::vector<Effect>& effects);
 
 class Arm {
  public:
@@ -66,7 +71,6 @@ class Arm {
 /// rotate to the next replica when the addressed one stays silent.
 class ArmClient {
  public:
-  ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm, dmpi::Rank arm_rank);
   ArmClient(dmpi::Mpi& mpi, const dmpi::Comm& comm,
             std::vector<dmpi::Rank> arm_ranks);
 
@@ -77,11 +81,6 @@ class ArmClient {
   /// then the ARM's queue policy). Non-gang requests may return fewer
   /// leases than asked.
   std::vector<Lease> acquire(const ResourceRequest& req);
-
-  /// Legacy flat shim: acquire(job, count) with default extension fields —
-  /// gang, normal priority, any memory, requester-local placement.
-  std::vector<Lease> acquire(std::uint64_t job, std::uint32_t count,
-                             bool wait = false, const std::string& kind = "");
 
   /// Releases one lease. Returns kNotOwner / kUnknownHandle on misuse.
   ArmResult release(std::uint64_t job, const Lease& lease);

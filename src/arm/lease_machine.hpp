@@ -93,8 +93,9 @@ const char* priority_class_name(std::uint32_t priority);
 /// Version word of the kAcquire body extension (see encode_body).
 inline constexpr std::uint32_t kAcquireExtVersion = 1;
 
-/// One typed acquisition. The legacy flat acquire(job, count, wait, kind)
-/// maps onto this with every extension field at its default.
+/// One typed acquisition. A request that sets only job, count, wait and
+/// kind is the paper's flat acquire: gang, normal priority, any memory,
+/// requester-local placement.
 struct ResourceRequest {
   std::uint64_t job = 0;
   std::uint32_t count = 1;
@@ -115,12 +116,11 @@ struct ResourceRequest {
   ResourceRequest& with_priority(std::uint32_t p) { priority = p; return *this; }
   ResourceRequest& with_locality(std::int64_t node) { locality = node; return *this; }
 
-  /// kAcquire body codec. The layout is the legacy prefix (job, count,
-  /// wait, kind) followed by a versioned extension (version word, memory,
-  /// priority, gang, locality). A frame that ends after the prefix is a
-  /// legacy request and decodes to default extension fields; a frame with
-  /// trailing bytes must carry a complete, version-1, in-range extension or
-  /// the whole decode throws proto::WireError — no partial application.
+  /// kAcquire body codec. The layout is a prefix (job, count, wait, kind)
+  /// followed by a versioned extension (version word, memory, priority,
+  /// gang, locality). Every frame must carry a complete, version-1,
+  /// in-range extension or the whole decode throws proto::WireError — no
+  /// partial application.
   void encode_body(proto::WireWriter& w) const;
   static ResourceRequest decode_body(proto::WireReader& r);
 };
@@ -168,9 +168,8 @@ struct SweepRequest {
 inline constexpr std::uint32_t kRevokeFailure = 0;
 inline constexpr std::uint32_t kRevokePreempted = 1;
 
-/// Unsolicited push to a lease owner when its slot is revoked. The reason
-/// word is a versioned suffix: legacy frames end at revoked_at and decode
-/// as kRevokeFailure.
+/// Unsolicited push to a lease owner when its slot is revoked, with the
+/// reason it was revoked.
 struct RevokeNotice {
   dmpi::Rank daemon_rank = -1;
   std::uint64_t lease_id = 0;
@@ -303,10 +302,9 @@ class LeaseMachine {
   /// and the chaos tier's cross-backend state comparison all use this one
   /// byte format.
   util::Buffer snapshot() const;
-  /// Rebuilds a machine from snapshot() bytes. Accepts the current format
-  /// and the pre-scheduler v1 layout (extension fields default). Throws
-  /// proto::WireError on truncated or out-of-range input. Metrics stay
-  /// unbound.
+  /// Rebuilds a machine from snapshot() bytes of the current format.
+  /// Throws proto::WireError on any other version and on truncated or
+  /// out-of-range input. Metrics stay unbound.
   static LeaseMachine restore(proto::WireReader& r,
                               std::string metrics_prefix = "dacc_arm");
   /// FNV-1a over snapshot() — the value replicas compare in tests.

@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "arm/arm.hpp"
 #include "obs/flight.hpp"
 #include "sim/trace.hpp"
 
@@ -51,10 +52,9 @@ std::uint64_t RaftNode::term_at(std::uint64_t index) const {
 }
 
 SimDuration RaftNode::draw_timeout() {
-  const std::uint64_t span = static_cast<std::uint64_t>(
-      params_.election_max - params_.election_min + 1);
-  return params_.election_min +
-         static_cast<SimDuration>(rng_.next_below(span));
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(kElectionMax - kElectionMin + 1);
+  return kElectionMin + static_cast<SimDuration>(rng_.next_below(span));
 }
 
 int RaftNode::index_of(dmpi::Rank replica) const {
@@ -292,7 +292,7 @@ void RaftNode::leader_tick(sim::Context& ctx, dmpi::Mpi& mpi) {
     next_sweep_at_ = ctx.now() + heartbeat_.period;
   }
   broadcast_append(mpi, /*count_round=*/true);
-  ae_deadline_ = ctx.now() + params_.ae_interval;
+  ae_deadline_ = ctx.now() + kAeInterval;
 }
 
 void RaftNode::broadcast_append(dmpi::Mpi& mpi, bool count_round) {
@@ -300,7 +300,7 @@ void RaftNode::broadcast_append(dmpi::Mpi& mpi, bool count_round) {
     if (static_cast<int>(i) == index_) continue;
     Peer& p = peers_[i];
     if (p.dead) continue;
-    if (count_round && ++p.unacked > params_.dead_rounds) {
+    if (count_round && ++p.unacked > kDeadRounds) {
       p.dead = true;
       continue;
     }
@@ -364,7 +364,7 @@ void RaftNode::apply_committed(sim::Context& ctx, rpc::ServerChannel& channel) {
     m_commit_lag_ns_.observe(static_cast<std::uint64_t>(ctx.now() - e.at));
     if (result.shutdown) shutdown_ = true;
     if (role_ == Role::kLeader) {
-      execute_effects(ctx, channel, result.effects);
+      arm::execute_effects(ctx, channel, result.effects);
     }
   }
   m_commit_index_.set(static_cast<std::int64_t>(commit_));
@@ -381,31 +381,6 @@ void RaftNode::maybe_compact() {
   log_.erase(log_.begin(),
              log_.begin() + static_cast<std::ptrdiff_t>(applied_ - snap_index_));
   snap_index_ = applied_;
-}
-
-void RaftNode::execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
-                               std::vector<Effect>& effects) {
-  for (Effect& e : effects) {
-    switch (e.kind) {
-      case Effect::Kind::kReply:
-        channel.reply(e.to, e.tag, std::move(e.frame));
-        break;
-      case Effect::Kind::kNotice:
-        channel.mpi().send(channel.comm(), e.to, e.tag, std::move(e.frame));
-        break;
-      case Effect::Kind::kTrace:
-        // Lease-machine events surfaced as trace effects (revocations,
-        // replacements) are flight-recorder material too.
-        if (obs::FlightRecorder* fr = world_.engine().flight()) {
-          fr->note(ctx.now(), "arm", e.label,
-                   world_.engine().current_trace().trace_id);
-        }
-        if (sim::Tracer* tracer = world_.engine().tracer()) {
-          tracer->record("arm", e.label, ctx.now(), ctx.now());
-        }
-        break;
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -593,7 +568,7 @@ void RaftNode::on_pre_vote(sim::Context& ctx, dmpi::Mpi& mpi,
     // last real leader contact, not our own election deadline (which we
     // reset ourselves on timeout — symmetric probes would livelock).
     const bool leader_stale =
-        ctx.now() - last_leader_contact_ >= params_.election_min;
+        ctx.now() - last_leader_contact_ >= kElectionMin;
     grant = log_ok && leader_stale;
   }
   rep.granted = grant;
@@ -681,7 +656,7 @@ void RaftNode::handle_client(sim::Context& ctx, rpc::ServerChannel& channel,
       // re-emits the cached reply (or stays silent for a still-queued
       // acquire) without mutating state, so no new log entry is needed.
       ApplyResult result = machine_.apply(cmd, ctx.now());
-      execute_effects(ctx, channel, result.effects);
+      arm::execute_effects(ctx, channel, result.effects);
       return;
     }
     for (std::uint64_t idx = applied_ + 1; idx <= last_log_index(); ++idx) {

@@ -42,27 +42,29 @@
 
 namespace dacc::arm::raft {
 
-/// Consensus timing/size knobs. Defaults are sized for the middleware's
-/// sub-millisecond fabric: elections settle within a few milliseconds of a
-/// leader death, and the AppendEntries cadence stays well under the
-/// client-side failover window.
+/// Consensus timing, sized for the middleware's sub-millisecond fabric:
+/// elections settle within a few milliseconds of a leader death, and the
+/// AppendEntries cadence stays well under the client-side failover window.
+///
+/// Leader AppendEntries cadence (also the liveness heartbeat of the
+/// consensus layer itself).
+inline constexpr SimDuration kAeInterval = 400'000;  // 400 us
+/// Election timeout drawn uniformly from [kElectionMin, kElectionMax] —
+/// per-replica seeded RNG, so ties are deterministic, not metastable.
+inline constexpr SimDuration kElectionMin = 1'500'000;  // 1.5 ms
+inline constexpr SimDuration kElectionMax = 3'000'000;  // 3 ms
+/// Consecutive unanswered AppendEntries rounds before the leader stops
+/// waiting on a peer for quiescence purposes (the peer is presumed killed;
+/// a reply instantly revives it).
+inline constexpr std::uint32_t kDeadRounds = 8;
+
+/// Per-group consensus knobs.
 struct RaftParams {
-  /// Leader AppendEntries cadence (also the liveness heartbeat of the
-  /// consensus layer itself).
-  SimDuration ae_interval = 400'000;  // 400 us
-  /// Election timeout drawn uniformly from [election_min, election_max] —
-  /// per-replica seeded RNG, so ties are deterministic, not metastable.
-  SimDuration election_min = 1'500'000;  // 1.5 ms
-  SimDuration election_max = 3'000'000;  // 3 ms
   /// Group-wide seed; each replica derives its own stream from it.
   std::uint64_t seed = 0xDACC'5EEDull;
   /// Applied entries retained before the log is compacted into a machine
   /// snapshot (per replica, independently).
   std::uint32_t snapshot_threshold = 128;
-  /// Consecutive unanswered AppendEntries rounds before the leader stops
-  /// waiting on a peer for quiescence purposes (the peer is presumed
-  /// killed; a reply instantly revives it).
-  std::uint32_t dead_rounds = 8;
 };
 
 /// One ARM replica. Construct one per replica rank, spawn run() as an
@@ -144,8 +146,6 @@ class RaftNode {
   void advance_commit();
   void apply_committed(sim::Context& ctx, rpc::ServerChannel& channel);
   void maybe_compact();
-  void execute_effects(sim::Context& ctx, rpc::ServerChannel& channel,
-                       std::vector<Effect>& effects);
 
   void handle_raft(sim::Context& ctx, dmpi::Mpi& mpi, rpc::Inbound& in);
   void handle_client(sim::Context& ctx, rpc::ServerChannel& channel,
@@ -197,7 +197,7 @@ class RaftNode {
   std::vector<bool> prevotes_;         ///< parallel to replicas_
   /// Last time a live leader was heard (valid AppendEntries or
   /// InstallSnapshot, or a gate wakeup). Pre-vote grants require this to be
-  /// at least election_min stale — NOT our own election deadline, which we
+  /// at least kElectionMin stale — NOT our own election deadline, which we
   /// reset on our own timeout and would livelock symmetric probes.
   SimTime last_leader_contact_ = 0;
 

@@ -590,12 +590,7 @@ bool Accelerator::attempt_with_retry(rpc::Channel& ch, sim::Context& ctx,
 }
 
 bool Accelerator::consume_revocation(rpc::Channel& ch, std::uint32_t* reason) {
-  const dmpi::Rank arm_rank = session_->config().arm_rank;
-  if (arm_rank < 0) return false;
-  // Replicated ARM: the notice may come from whichever replica led when the
-  // revocation committed, so probe any source on the revoke tag.
-  const dmpi::Rank src =
-      session_->config().arm_replicated() ? dmpi::kAnySource : arm_rank;
+  const dmpi::Rank src = session_->config().revoke_source();
   const int tag = arm::kArmRevokeTagBase + lease_.daemon_rank;
   if (!ch.mpi().iprobe(session_->comm_, src, tag)) return false;
   util::Buffer frame = ch.mpi().recv(session_->comm_, src, tag);
@@ -637,17 +632,14 @@ bool Accelerator::replay(rpc::Channel& ch, sim::Context& ctx,
 bool Accelerator::try_replace(rpc::Channel& ch, sim::Context& ctx,
                               bool broken) {
   const RetryPolicy& rp = session_->config().retry;
-  if (!rp.replace_on_failure || replacements_ >= rp.max_replacements) {
+  if (!rp.replace_on_failure || replacements_ >= rpc::kMaxReplacements) {
     return false;
   }
-  const dmpi::Rank arm_rank = session_->config().arm_rank;
-  if (arm_rank < 0) return false;
-
   const arm::Lease failed = lease_;
   const std::uint64_t job = session_->config().job_id;
   const SimTime begin = ctx.now();
   arm::ArmClient arm_client(ch.mpi(), session_->comm_,
-                            session_->config().arm_endpoints());
+                            session_->config().arm_ranks);
 
   // Make sure the pool knows (idempotent if the liveness sweep beat us to
   // it), give the dead lease back, and take any healthy accelerator. A
@@ -668,8 +660,7 @@ bool Accelerator::try_replace(rpc::Channel& ch, sim::Context& ctx,
   ++replacements_;
 
   // Drop a revocation notice for the dead lease that raced with us.
-  const dmpi::Rank stale_src =
-      session_->config().arm_replicated() ? dmpi::kAnySource : arm_rank;
+  const dmpi::Rank stale_src = session_->config().revoke_source();
   const int stale_tag = arm::kArmRevokeTagBase + failed.daemon_rank;
   while (ch.mpi().iprobe(session_->comm_, stale_src, stale_tag)) {
     (void)ch.mpi().recv(session_->comm_, stale_src, stale_tag);
@@ -917,7 +908,7 @@ Session::Session(dmpi::World& world, sim::Context& ctx, dmpi::Rank self,
       comm_(comm),
       config_(config),
       mpi_(world, ctx, self),
-      arm_client_(mpi_, comm, config.arm_endpoints()) {}
+      arm_client_(mpi_, comm, config.arm_ranks) {}
 
 Session::~Session() {
   // Best effort: stop the proxies (no blocking in a destructor). Proper

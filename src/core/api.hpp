@@ -240,11 +240,10 @@ class Accelerator {
 class Session {
  public:
   struct Config {
-    dmpi::Rank arm_rank = -1;
-    /// Replicated ARM (DESIGN.md §11): every replica endpoint, in replica
-    /// order. Empty means the single-ARM deployment ({arm_rank}). Clients
-    /// walk the failover ladder across these ranks, so a leader kill is
-    /// invisible to the job.
+    /// Every ARM endpoint, in replica order: one rank for the single ARM,
+    /// every replica for the replicated ARM (DESIGN.md §11). Clients walk
+    /// the failover ladder across these ranks, so a leader kill is
+    /// invisible to the job. Must not be empty.
     std::vector<dmpi::Rank> arm_ranks;
     std::uint64_t job_id = 1;
     /// Scheduling priority for every ARM request this session makes
@@ -258,12 +257,12 @@ class Session {
     /// DACC_RPC_BATCH environment knob; off unless set.
     rpc::StreamConfig batch = rpc::default_stream_config();
 
-    /// The ARM endpoint set: {arm_rank} unless `arm_ranks` says otherwise.
-    std::vector<dmpi::Rank> arm_endpoints() const {
-      if (!arm_ranks.empty()) return arm_ranks;
-      return {arm_rank};
-    }
     bool arm_replicated() const { return arm_ranks.size() > 1; }
+    /// Where revocation notices come from: the single ARM, or (replicated)
+    /// whichever replica led when the revocation committed.
+    dmpi::Rank revoke_source() const {
+      return arm_replicated() ? dmpi::kAnySource : arm_ranks.at(0);
+    }
   };
 
   /// `ctx` is the owning compute-node process; `self` its world rank; `comm`

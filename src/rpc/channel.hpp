@@ -34,6 +34,14 @@
 
 namespace dacc::rpc {
 
+/// Exponential backoff between retry attempts: base, base*2, base*4, ...
+/// capped.
+inline constexpr SimDuration kBackoffBase = 50'000;    // 50 us
+inline constexpr SimDuration kBackoffCap = 2'000'000;  // 2 ms
+/// How many device deaths one accelerator handle survives under
+/// RetryPolicy::replace_on_failure.
+inline constexpr int kMaxReplacements = 3;
+
 /// Failure-handling policy for channel requests (paper Section III.A: a
 /// broken accelerator is replaced from the pool without losing the compute
 /// node). All requests are idempotent from the daemon's perspective, so the
@@ -45,19 +53,15 @@ struct RetryPolicy {
   SimDuration request_timeout = 0;
   /// Additional attempts after the first one times out.
   int max_retries = 3;
-  /// Exponential backoff between attempts: base, base*2, base*4, ... capped.
-  SimDuration backoff_base = 50'000;    // 50 us
-  SimDuration backoff_cap = 2'000'000;  // 2 ms
   /// Transparently re-acquire a healthy accelerator when the leased one
   /// dies: the session's allocation table and operation log are replayed on
   /// the replacement and the failed request re-executed there.
   bool replace_on_failure = false;
-  /// How many device deaths one accelerator handle survives.
-  int max_replacements = 3;
 };
 
 /// Runs `attempt(deadline)` under the policy's timeout/backoff ladder: up to
-/// 1 + max_retries tries with capped exponential backoff between them.
+/// 1 + max_retries tries with capped exponential backoff (kBackoffBase,
+/// kBackoffCap) between them.
 /// Returns true as soon as an attempt returns true; false when every attempt
 /// timed out (the server is unreachable).
 template <typename Fn>
@@ -66,8 +70,8 @@ bool with_retry(sim::Context& ctx, const RetryPolicy& rp, Fn&& attempt) {
   for (int a = 0; a < attempts; ++a) {
     if (a > 0) {
       const int shift = a - 1 < 20 ? a - 1 : 20;
-      const SimDuration backoff = rp.backoff_base << shift;
-      ctx.wait_for(backoff < rp.backoff_cap ? backoff : rp.backoff_cap);
+      const SimDuration backoff = kBackoffBase << shift;
+      ctx.wait_for(backoff < kBackoffCap ? backoff : kBackoffCap);
     }
     const SimTime deadline =
         rp.request_timeout > 0 ? ctx.now() + rp.request_timeout : kSimTimeNever;

@@ -39,10 +39,7 @@ int arm_node_count(const ClusterConfig& config) {
 /// yields the trivial single-zone map (legacy grant order).
 arm::PlacementMap build_placement(const ClusterConfig& config,
                                   const net::Fabric& fabric, int nodes) {
-  if (!config.topology_placement ||
-      config.fabric.link_latency_overrides.empty()) {
-    return {};
-  }
+  if (config.fabric.link_latency_overrides.empty()) return {};
   std::vector<int> parent(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) parent[static_cast<std::size_t>(i)] = i;
   std::function<int(int)> find = [&](int x) {
@@ -446,7 +443,6 @@ JobHandle Cluster::submit(JobSpec spec, int first_cn) {
               [this, shared_spec, job_base, r, world_rank, &job_comm,
                completion, remaining, leases](sim::Context& ctx) {
                 core::Session::Config sc;
-                sc.arm_rank = arm_rank();
                 sc.arm_ranks = arm_ranks();
                 sc.job_id = job_base + static_cast<std::uint64_t>(r);
                 sc.priority = shared_spec->priority;

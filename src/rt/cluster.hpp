@@ -59,15 +59,6 @@ struct ClusterConfig {
   /// How the ARM serves queued allocations.
   arm::Arm::QueuePolicy arm_policy = arm::Arm::QueuePolicy::kFcfs;
 
-  /// Topology-aware placement: when the fabric declares per-link latency
-  /// overrides, the cluster derives latency zones (connected components of
-  /// links at or under the uniform wire latency) and hands the ARM a
-  /// PlacementMap, so grants prefer accelerators near the requester. With a
-  /// uniform fabric the map is trivial and grant order is exactly the
-  /// legacy ascending-slot scan. Disable to force the legacy order even on
-  /// a non-uniform fabric.
-  bool topology_placement = true;
-
   /// Replicated ARM (DESIGN.md §11): with a value > 1, the lease table is
   /// hosted by this many Raft replicas — each on its own fabric node —
   /// instead of a single ARM rank. Jobs and the launcher are unchanged;
@@ -129,8 +120,7 @@ struct ClusterConfig {
 
   /// Shard count for the parallel backend: simulated nodes are partitioned
   /// into this many event queues (0 = auto, capped at a host-sized limit).
-  /// Honors DACC_SIM_BACKEND=parallel:N by default; the node -> shard
-  /// placement can be pinned with DACC_SIM_SHARD_MAP. Ignored by the
+  /// Honors DACC_SIM_BACKEND=parallel:N by default. Ignored by the
   /// sequential backend. Results are bit-identical for every shard count.
   int sim_shards = sim::default_parallel_shards();
 

@@ -393,14 +393,14 @@ void Engine::set_shard_map(std::vector<int> map) {
     }
   }
   shard_of_ = std::move(map);
-  shard_map_source_ = ShardMapSource::kExplicit;
+  shard_map_explicit_ = true;
   plan_dirty_ = true;
 }
 
 void Engine::recompute_shard_map() {
   if (num_shards_ <= 0 || node_count_ <= 0) return;
   std::vector<int> map;
-  if (shard_map_source_ == ShardMapSource::kExplicit) {
+  if (shard_map_explicit_) {
     // Keep the user's placement; new nodes (topology growth) fall back to
     // round robin, shrunk shard counts wrap.
     map = shard_of_;
@@ -410,16 +410,10 @@ void Engine::recompute_shard_map() {
     for (int& s : map) {
       if (s >= num_shards_) s %= num_shards_;
     }
-  } else {
-    std::vector<int> env = parse_shard_map_env(node_count_, num_shards_);
-    if (!env.empty()) {
-      map = std::move(env);
-      shard_map_source_ = ShardMapSource::kEnv;
-    } else if (!la_override_.empty()) {
-      map = topology_partition();
-    }
-    // else: empty map == round robin.
+  } else if (!la_override_.empty()) {
+    map = topology_partition();
   }
+  // else: empty map == round robin.
   if (map == shard_of_) return;
   for (const auto& sh : shards_) {
     if (!sh->q.empty()) {

@@ -324,9 +324,9 @@ class Engine {
   }
 
   /// Explicit node -> shard placement (size must equal node_count(), every
-  /// entry in [0, shard_count())). Overrides the topology partitioner and
-  /// the DACC_SIM_SHARD_MAP environment variable. Placement never changes
-  /// simulated results (shard-count invariance), only parallelism.
+  /// entry in [0, shard_count())). Overrides the topology partitioner.
+  /// Placement never changes simulated results (shard-count invariance),
+  /// only parallelism.
   void set_shard_map(std::vector<int> map);
 
   /// Shard that node's events execute on (0 when not parallel).
@@ -537,8 +537,7 @@ class Engine {
   }
 
   /// Target shard of a node's events: the shard map when one was computed
-  /// (topology partitioner / DACC_SIM_SHARD_MAP / set_shard_map), round
-  /// robin otherwise.
+  /// (topology partitioner / set_shard_map), round robin otherwise.
   int shard_target(std::int32_t node) const {
     if (!shard_of_.empty()) [[unlikely]] {
       return shard_of_[static_cast<std::size_t>(node)];
@@ -623,7 +622,7 @@ class Engine {
   /// minimum cross-shard lookahead) when topology inputs changed.
   void ensure_parallel_plan();
   /// Recomputes the node->shard map from the current source (explicit map,
-  /// DACC_SIM_SHARD_MAP, topology partitioner, round robin).
+  /// topology partitioner, round robin).
   void recompute_shard_map();
   /// Groups nodes connected by short links (latency < the default) onto
   /// the same shard: union-find over short links, split oversized groups
@@ -682,9 +681,8 @@ class Engine {
   SimDuration override_default_ = 0;  // reference latency for "short" links
 
   // Node -> shard map; empty = round robin (node % num_shards_).
-  enum class ShardMapSource { kAuto, kEnv, kExplicit };
   std::vector<int> shard_of_;
-  ShardMapSource shard_map_source_ = ShardMapSource::kAuto;
+  bool shard_map_explicit_ = false;  ///< set_shard_map() was called
 
   // Derived parallel plan (rebuilt lazily at run start when dirty).
   bool plan_dirty_ = true;

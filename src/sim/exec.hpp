@@ -22,8 +22,6 @@
 //                 (rt::Cluster homes everything); see DESIGN.md §5.2.
 #pragma once
 
-#include <vector>
-
 namespace dacc::sim {
 
 enum class ExecBackend {
@@ -57,11 +55,5 @@ int default_parallel_workers();
 /// this only add horizon-scan and queue overhead — a 10k-node topology
 /// does not want 10k shards. Placement never affects simulated results.
 int default_auto_shard_cap();
-
-/// Parses the DACC_SIM_SHARD_MAP environment variable: a comma-separated
-/// node -> shard assignment ("0,0,1,1,..."), which must list exactly
-/// `nodes` entries each in [0, shards). Returns the map, or an empty
-/// vector (with a stderr warning) when the variable is unset or invalid.
-std::vector<int> parse_shard_map_env(int nodes, int shards);
 
 }  // namespace dacc::sim

@@ -216,7 +216,7 @@ TEST(RaftWireFuzz, LiveReplicaDropsPoisonWhole) {
       [&](dmpi::Mpi& mpi, sim::Context& ctx) {
         const dmpi::Comm& comm = bed.comm();
         ctx.wait_until(10_ms);  // the lone replica elected itself by now
-        ArmClient client(mpi, comm, 0);
+        ArmClient client(mpi, comm, {0});
         const PoolStats before = client.stats();
         EXPECT_EQ(before.total, 2u);
         EXPECT_EQ(before.free, 2u);

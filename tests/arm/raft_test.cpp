@@ -269,7 +269,7 @@ TEST(Raft, PreVoteRefusesDisruptionWhileTheLeaderIsHealthy) {
         const auto refused =
             recv_filtered<PreVoteReply>(mpi, comm, RaftOp::kPreVoteReply);
         EXPECT_FALSE(refused.granted);
-        // After > election_min of leader silence: granted.
+        // After > kElectionMin of leader silence: granted.
         ctx.wait_until(8_ms);
         mpi.send(comm, 0, kArmRequestTag, probe.encode());
         const auto granted =

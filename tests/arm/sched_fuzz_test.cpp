@@ -1,8 +1,8 @@
 // Hardening of the typed-acquire wire format (DESIGN.md §13): the versioned
-// request extension must reject truncation at every byte except the legacy
-// boundary, bound every enum-like field, drop malformed frames whole (no
-// partial application to the lease machine), and answer absurd-but-well-
-// formed values with one clean status.
+// request extension must reject truncation at every byte (including a frame
+// that stops after the prefix), bound every enum-like field, drop malformed
+// frames whole (no partial application to the lease machine), and answer
+// absurd-but-well-formed values with one clean status.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,9 +40,8 @@ util::Buffer encode(const ResourceRequest& req) {
   return w.finish();
 }
 
-/// The legacy flat-acquire prefix of `req` (job, count, wait, kind) — the
-/// one boundary where a shorter frame is still a valid request.
-util::Buffer encode_legacy_prefix(const ResourceRequest& req) {
+/// The prefix of `req` (job, count, wait, kind) without the extension.
+util::Buffer encode_prefix(const ResourceRequest& req) {
   return WireWriter{}
       .u64(req.job)
       .u32(req.count)
@@ -66,35 +65,18 @@ TEST(SchedWireFuzz, RequestRoundTripsWithExtension) {
   EXPECT_EQ(back.locality, req.locality);
 }
 
-TEST(SchedWireFuzz, LegacyFrameDecodesToDefaultExtension) {
-  const ResourceRequest req = sample_request();
-  const util::Buffer legacy = encode_legacy_prefix(req);
-  WireReader r(legacy.view());
-  const ResourceRequest back = ResourceRequest::decode_body(r);
-  EXPECT_EQ(back.job, req.job);
-  EXPECT_EQ(back.count, req.count);
-  EXPECT_EQ(back.wait, req.wait);
-  EXPECT_EQ(back.kind, req.kind);
-  // Extension fields at their defaults: the old flat semantics.
-  EXPECT_EQ(back.memory_bytes, 0u);
-  EXPECT_TRUE(back.gang);
-  EXPECT_EQ(back.priority, kPriorityNormal);
-  EXPECT_EQ(back.locality, -1);
+TEST(SchedWireFuzz, PrefixOnlyFrameRejected) {
+  // Every encoder writes the extension; a body that ends after the prefix
+  // is malformed, not a request with default extension fields.
+  const util::Buffer prefix = encode_prefix(sample_request());
+  WireReader r(prefix.view());
+  EXPECT_THROW((void)ResourceRequest::decode_body(r), WireError);
 }
 
-TEST(SchedWireFuzz, TruncationThrowsEverywhereButTheLegacyBoundary) {
-  const ResourceRequest req = sample_request();
-  const util::Buffer full = encode(req);
-  const std::uint64_t legacy_len = encode_legacy_prefix(req).size();
-  ASSERT_LT(legacy_len, full.size());
+TEST(SchedWireFuzz, TruncationThrowsAtEveryCut) {
+  const util::Buffer full = encode(sample_request());
   for (std::uint64_t cut = 0; cut < full.size(); ++cut) {
     WireReader r(full.slice(0, cut));
-    if (cut == legacy_len) {
-      // The one valid shorter frame: a complete legacy request.
-      const ResourceRequest back = ResourceRequest::decode_body(r);
-      EXPECT_EQ(back.priority, kPriorityNormal);
-      continue;
-    }
     EXPECT_THROW((void)ResourceRequest::decode_body(r), WireError)
         << "cut at " << cut;
   }
@@ -165,9 +147,7 @@ TEST(SchedWireFuzz, MalformedAcquireLeavesTheMachineUntouched) {
   LeaseMachine machine = test_machine();
   const std::uint64_t before = machine.fingerprint();
   const util::Buffer full = encode(sample_request());
-  const std::uint64_t legacy_len = encode_legacy_prefix(sample_request()).size();
   for (std::uint64_t cut = 0; cut < full.size(); ++cut) {
-    if (cut == legacy_len) continue;  // valid legacy frame, would apply
     const Command cmd = acquire_command(full.slice(0, cut));
     EXPECT_THROW((void)LeaseMachine::validate(cmd), WireError);
     EXPECT_THROW((void)machine.apply(cmd, /*now=*/1000), WireError);
@@ -179,6 +159,28 @@ TEST(SchedWireFuzz, MalformedAcquireLeavesTheMachineUntouched) {
       2000);
   ASSERT_EQ(ok.effects.size(), 1u);
   EXPECT_EQ(machine.stats().assigned, 1u);
+}
+
+TEST(SchedWireFuzz, SnapshotVersionOneRejected) {
+  // A complete snapshot in the pre-scheduler version-1 layout (empty pool,
+  // queue, revocation list and reply cache). Nothing produces that layout
+  // any more, so restore() refuses it like any unknown version.
+  const util::Buffer v1 = WireWriter{}
+                              .u32(1)  // version
+                              .u32(static_cast<std::uint32_t>(
+                                  QueuePolicy::kFcfs))
+                              .u64(1)  // next lease
+                              .u64(0)  // acquisitions
+                              .u64(0)  // heartbeats
+                              .u32(0)  // revocations
+                              .u32(0)  // replacements
+                              .u32(0)  // slots
+                              .u32(0)  // queue
+                              .u32(0)  // revoked leases
+                              .u32(0)  // reply cache
+                              .finish();
+  WireReader r(v1.view());
+  EXPECT_THROW((void)LeaseMachine::restore(r), WireError);
 }
 
 TEST(SchedWireFuzz, CountOverflowAnswersOneBareStatus) {

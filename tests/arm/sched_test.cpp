@@ -215,22 +215,6 @@ TEST(Sched, PlacementPrefersTheRequestersZone) {
   cluster.run();
 }
 
-TEST(Sched, PlacementDisabledRestoresLegacyOrder) {
-  rt::ClusterConfig config = far_ac0_cluster();
-  config.topology_placement = false;
-  rt::Cluster cluster(config);
-  const dmpi::Rank legacy_first = cluster.daemon_rank(0);
-  rt::JobSpec spec;
-  spec.body = [&](rt::JobContext& job) {
-    const auto first = job.session().arm().acquire(
-        ResourceRequest{}.with_job(1));
-    ASSERT_EQ(first.size(), 1u);
-    EXPECT_EQ(first[0].daemon_rank, legacy_first);  // ascending slot scan
-  };
-  cluster.submit(spec);
-  cluster.run();
-}
-
 TEST(Sched, LocalityHintOverridesTheRequesterNode) {
   // The requester sits in the fast zone but asks to be placed near ac0's
   // node; the hint, not the origin, drives zone selection.
@@ -272,14 +256,17 @@ TEST(Sched, SessionAcquireThreadsTypedRequests) {
 }
 
 TEST(Sched, LegacyFlatAcquireStillWorks) {
-  // The pre-scheduler shim: acquire(job, count, wait, kind) must behave as
-  // a gang, normal-priority request with no memory constraint.
+  // A request that sets only the pre-scheduler fields (job, count, wait,
+  // kind) must behave as a gang, normal-priority request with no memory
+  // constraint.
   run_job(mixed_pool_cluster(), [](rt::JobContext& job) {
     ArmClient& arm = job.session().arm();
-    const auto gpus = arm.acquire(1, 2, /*wait=*/false, "gpu");
+    const ResourceRequest two_gpus =
+        ResourceRequest{}.with_job(1).with_count(2).with_kind("gpu");
+    const auto gpus = arm.acquire(two_gpus);
     ASSERT_EQ(gpus.size(), 2u);
-    EXPECT_TRUE(arm.acquire(1, 2, /*wait=*/false, "gpu").empty());  // gang
-    const auto any = arm.acquire(1, 1);
+    EXPECT_TRUE(arm.acquire(two_gpus).empty());  // gang
+    const auto any = arm.acquire(ResourceRequest{}.with_job(1));
     ASSERT_EQ(any.size(), 1u);  // the MIC, via the unconstrained path
     EXPECT_EQ(arm.stats().free, 0u);
   });

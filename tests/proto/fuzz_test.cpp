@@ -144,24 +144,21 @@ TEST(WireFuzz, LivenessTruncationThrowsAtEveryByte) {
       arm::ReplayReport{.failed_rank = 1, .replacement_rank = 2}.encode(7),
       [](WireReader& r) { return arm::ReplayReport::decode(r); },
       /*header=*/true);
-  // RevokeNotice carries a versioned suffix: a cut at the legacy boundary
-  // (exactly the four u64 words, no reason) is a VALID v0 frame and decodes
-  // as a failure revocation; every other cut must still throw.
-  const util::Buffer revoke_full =
+  expect_all_cuts_throw(
       arm::RevokeNotice{.daemon_rank = 1, .lease_id = 2,
                         .reason = arm::kRevokePreempted}
-          .encode();
-  constexpr std::uint64_t kLegacyRevokeBytes = 4 * 8;
-  for (std::uint64_t cut = 0; cut < revoke_full.size(); ++cut) {
-    WireReader r(revoke_full.slice(0, cut));
-    if (cut == kLegacyRevokeBytes) {
-      const arm::RevokeNotice legacy = arm::RevokeNotice::decode(r);
-      EXPECT_EQ(legacy.reason, arm::kRevokeFailure);
-      continue;
-    }
-    EXPECT_THROW((void)arm::RevokeNotice::decode(r), std::runtime_error)
-        << "cut at " << cut;
-  }
+          .encode(),
+      [](WireReader& r) { return arm::RevokeNotice::decode(r); },
+      /*header=*/false);
+}
+
+TEST(WireFuzz, RevokeNoticeWithoutReasonThrows) {
+  // The reason word is part of every notice: the four u64 words alone
+  // (32 bytes) are a truncated frame, not a failure revocation.
+  const util::Buffer bare = WireWriter{}.u64(1).u64(2).u64(3).u64(4).finish();
+  ASSERT_EQ(bare.size(), 32u);
+  WireReader r(bare.view());
+  EXPECT_THROW((void)arm::RevokeNotice::decode(r), proto::WireError);
 }
 
 TEST(WireFuzz, CorruptedLivenessFramesNeverCrash) {

@@ -33,7 +33,9 @@ TEST(Cluster, ZeroAcceleratorClusterIsValid) {
   JobSpec spec;
   spec.body = [&](JobContext& job) {
     ran = true;
-    EXPECT_TRUE(job.session().arm().acquire(1, 1).empty());
+    const auto leases =
+        job.session().arm().acquire(arm::ResourceRequest{}.with_job(1));
+    EXPECT_TRUE(leases.empty());
   };
   cluster.submit(spec);
   cluster.run();

@@ -1,5 +1,5 @@
-// Environment parsers of sim/exec.hpp: DACC_SIM_BACKEND,
-// DACC_SIM_PARALLEL_WORKERS and DACC_SIM_SHARD_MAP. Every malformed value
+// Environment parsers of sim/exec.hpp: DACC_SIM_BACKEND and
+// DACC_SIM_PARALLEL_WORKERS. Every malformed value
 // must warn once on stderr and fall back to the default — never abort and
 // never select something the user did not ask for.
 #include "sim/exec.hpp"
@@ -151,32 +151,6 @@ TEST_F(ExecEnv, ParallelWorkersBounds) {
         [] { EXPECT_EQ(default_parallel_workers(), hardware_threads()); });
     EXPECT_NE(err.find("ignoring DACC_SIM_PARALLEL_WORKERS"),
               std::string::npos)
-        << err;
-  }
-}
-
-TEST_F(ExecEnv, ShardMapParses) {
-  set("DACC_SIM_SHARD_MAP", "0,1,1,0");
-  const std::string err = stderr_of([] {
-    EXPECT_EQ(parse_shard_map_env(4, 2), (std::vector<int>{0, 1, 1, 0}));
-  });
-  EXPECT_EQ(err, "");
-  set("DACC_SIM_SHARD_MAP", nullptr);
-  EXPECT_TRUE(parse_shard_map_env(4, 2).empty());
-}
-
-TEST_F(ExecEnv, MalformedShardMapWarnsAndIsIgnored) {
-  for (const char* value : {"0,1",           // too short
-                            "0,1,1,0,1",     // too long
-                            "0,2,1,0",       // shard out of range
-                            "0,-1,1,0",      // negative shard
-                            "0,1,1,0,",      // trailing comma
-                            "0,,1,0"}) {     // empty entry
-    SCOPED_TRACE(value);
-    set("DACC_SIM_SHARD_MAP", value);
-    const std::string err =
-        stderr_of([] { EXPECT_TRUE(parse_shard_map_env(4, 2).empty()); });
-    EXPECT_NE(err.find("ignoring DACC_SIM_SHARD_MAP"), std::string::npos)
         << err;
   }
 }

@@ -1,13 +1,12 @@
 // Asynchronous parallel-backend scheduling (DESIGN.md §5.2): the merged
 // fallback when no safe horizon width exists (zero lookahead, or a
 // zero-latency link crossing shards), topology-aware shard placement (the
-// partitioner, DACC_SIM_SHARD_MAP, explicit maps), and the era-count /
+// partitioner and explicit maps), and the era-count /
 // exposed-parallelism guard for the 129-node cluster scenario — the
 // tier-1 check that the band-gap eras actually shrink the number of serial
 // synchronization points without costing determinism.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <vector>
 
@@ -134,33 +133,6 @@ TEST(ParallelAsync, TopologyPartitionerColocatesShortLinkPairs) {
   o.shards = 4;
   const RingResult par = run_ring(o);
   EXPECT_TRUE(par.same_simulation(serial));
-}
-
-TEST(ParallelAsync, ShardMapEnvironmentVariableSelectsPlacement) {
-  ::setenv("DACC_SIM_SHARD_MAP", "3,2,1,0", 1);
-  {
-    sim::Engine engine(sim::ExecBackend::kParallel, 4);
-    engine.set_node_count(4);
-    EXPECT_EQ(engine.shard_of(0), 3);
-    EXPECT_EQ(engine.shard_of(1), 2);
-    EXPECT_EQ(engine.shard_of(2), 1);
-    EXPECT_EQ(engine.shard_of(3), 0);
-  }
-  // Wrong arity: warn and fall back to round robin.
-  ::setenv("DACC_SIM_SHARD_MAP", "0,1", 1);
-  {
-    sim::Engine engine(sim::ExecBackend::kParallel, 4);
-    engine.set_node_count(4);
-    for (int n = 0; n < 4; ++n) EXPECT_EQ(engine.shard_of(n), n % 4);
-  }
-  // Out-of-range shard id: same fallback.
-  ::setenv("DACC_SIM_SHARD_MAP", "0,9,0,0", 1);
-  {
-    sim::Engine engine(sim::ExecBackend::kParallel, 4);
-    engine.set_node_count(4);
-    for (int n = 0; n < 4; ++n) EXPECT_EQ(engine.shard_of(n), n % 4);
-  }
-  ::unsetenv("DACC_SIM_SHARD_MAP");
 }
 
 TEST(ParallelAsync, ExplicitShardMapValidates) {
